@@ -2,24 +2,12 @@
 
 namespace polaris {
 
-std::size_t ArrayStorage::flat_index(
-    const std::vector<std::int64_t>& subs) const {
-  p_assert_msg(subs.size() == bounds.size(),
-               "subscript rank mismatch at run time");
-  std::int64_t index = 0;
-  std::int64_t stride = 1;
-  for (std::size_t d = 0; d < subs.size(); ++d) {
-    const auto& [lo, hi] = bounds[d];
-    p_assert_msg(subs[d] >= lo && subs[d] <= hi,
-                 "array subscript out of declared bounds");
-    index += (subs[d] - lo) * stride;
-    stride *= (hi - lo + 1);
-  }
-  std::int64_t flat = offset + index;
-  p_assert_msg(flat >= 0 &&
-                   static_cast<std::size_t>(flat) < data->size(),
-               "flat array index out of storage");
-  return static_cast<std::size_t>(flat);
+void ArrayStorage::add_dim(std::int64_t l, std::int64_t h) {
+  interp_check_msg(rank < kMaxRank, "array rank exceeds the supported 7");
+  stride[rank] = element_count();
+  lo[rank] = l;
+  hi[rank] = h;
+  ++rank;
 }
 
 Cell* CommonStore::lookup(const std::string& block, const std::string& name) {
@@ -32,29 +20,23 @@ Cell* CommonStore::create(const std::string& block, const std::string& name) {
   Cell* raw = cell.get();
   auto [it, inserted] = cells_.emplace(std::make_pair(block, name),
                                        std::move(cell));
-  p_assert_msg(inserted, "duplicate common cell " + block + "/" + name);
+  interp_check_msg(inserted, "duplicate common cell " + block + "/" + name);
   return raw;
 }
 
-Cell* Frame::create_local(Symbol* sym) {
-  p_assert(sym != nullptr);
-  p_assert_msg(!bound(sym), "symbol already bound: " + sym->name());
+Cell* Frame::create_local(std::size_t slot) {
+  interp_check_msg(!bound(slot), "slot already bound");
   auto cell = std::make_unique<Cell>();
   Cell* raw = cell.get();
   owned_.push_back(std::move(cell));
-  cells_[sym] = raw;
+  cells_[slot] = raw;
   return raw;
 }
 
-void Frame::bind(Symbol* sym, Cell* cell) {
-  p_assert(sym != nullptr && cell != nullptr);
-  p_assert_msg(!bound(sym), "symbol already bound: " + sym->name());
-  cells_[sym] = cell;
-}
-
-Cell* Frame::lookup(Symbol* sym) const {
-  auto it = cells_.find(sym);
-  return it == cells_.end() ? nullptr : it->second;
+void Frame::bind(std::size_t slot, Cell* cell) {
+  interp_check(cell != nullptr);
+  interp_check_msg(!bound(slot), "slot already bound");
+  cells_[slot] = cell;
 }
 
 }  // namespace polaris

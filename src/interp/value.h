@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "interp/check.h"
 #include "ir/type.h"
-#include "support/assert.h"
 
 namespace polaris {
 
@@ -49,15 +49,15 @@ class Value {
   std::int64_t as_int() const {
     if (is_integer()) return i_;
     if (is_real()) return static_cast<std::int64_t>(d_);  // truncation
-    p_assert_msg(false, "logical used as integer");
+    interp_check_msg(false, "logical used as integer");
   }
   double as_real() const {
     if (is_real()) return d_;
     if (is_integer()) return static_cast<double>(i_);
-    p_assert_msg(false, "logical used as real");
+    interp_check_msg(false, "logical used as real");
   }
   bool as_logical() const {
-    p_assert_msg(is_logical(), "non-logical used in condition");
+    interp_check_msg(is_logical(), "non-logical used in condition");
     return b_;
   }
 

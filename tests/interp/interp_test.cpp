@@ -224,6 +224,32 @@ TEST(InterpTest, Intrinsics) {
   EXPECT_EQ(r.output[0], "3 7 0.5 4 -3 3");
 }
 
+TEST(InterpTest, ComputedParameterChargesLikeItsExpression) {
+  // A PARAMETER read costs what evaluating its value expression costs,
+  // on every read, however the interpreter stores the value.
+  auto with_param = run_src(
+      "      program t\n"
+      "      parameter (m = -3, k = 2*m)\n"
+      "      s = 0\n"
+      "      do i = 1, 10\n"
+      "        s = s + k\n"
+      "      end do\n"
+      "      print *, s, k\n"
+      "      end\n");
+  auto inline_expr = run_src(
+      "      program t\n"
+      "      s = 0\n"
+      "      do i = 1, 10\n"
+      "        s = s + 2*(-3)\n"
+      "      end do\n"
+      "      print *, s, 2*(-3)\n"
+      "      end\n");
+  EXPECT_EQ(with_param.output, inline_expr.output);
+  EXPECT_EQ(with_param.output[0], "-60 -6");
+  EXPECT_EQ(with_param.clock.serial, inline_expr.clock.serial);
+  EXPECT_EQ(with_param.statements, inline_expr.statements);
+}
+
 TEST(InterpTest, StopTerminates) {
   auto r = run_src(
       "      print *, 1\n"

@@ -7,7 +7,7 @@ namespace {
 
 ArrayStorage make_array(std::vector<std::pair<std::int64_t, std::int64_t>> b) {
   ArrayStorage a;
-  a.bounds = std::move(b);
+  for (const auto& [lo, hi] : b) a.add_dim(lo, hi);
   a.data = std::make_shared<std::vector<Value>>(
       static_cast<std::size_t>(a.element_count()), Value::real(0.0));
   return a;
@@ -36,7 +36,7 @@ TEST(MemoryTest, OffsetViews) {
   ArrayStorage view;
   view.data = base.data;
   view.offset = 4;  // element 5, 0-based
-  view.bounds = {{1, 6}};
+  view.add_dim(1, 6);
   view.at({1}) = Value::real(9.0);
   EXPECT_DOUBLE_EQ(base.at({5}).as_real(), 9.0);
 }
@@ -49,27 +49,24 @@ TEST(MemoryTest, BoundsViolationAsserts) {
 }
 
 TEST(MemoryTest, FrameLocalAndBinding) {
-  SymbolTable symtab;
-  Symbol* x = symtab.declare("x", Type::real(), SymbolKind::Variable);
-  Symbol* y = symtab.declare("y", Type::real(), SymbolKind::Variable);
-  Frame f;
+  const std::size_t x = 1, y = 2;  // slots
+  Frame f(3);
   Cell* cx = f.create_local(x);
   cx->scalar = Value::real(2.5);
   EXPECT_EQ(f.lookup(x), cx);
   EXPECT_EQ(f.lookup(y), nullptr);
 
-  Frame g;
+  Frame g(3);
   g.bind(y, cx);  // aliasing: by-reference argument semantics
   g.lookup(y)->scalar = Value::real(7.0);
   EXPECT_DOUBLE_EQ(f.lookup(x)->scalar.as_real(), 7.0);
 }
 
 TEST(MemoryTest, DoubleBindAsserts) {
-  SymbolTable symtab;
-  Symbol* x = symtab.declare("x", Type::real(), SymbolKind::Variable);
-  Frame f;
-  f.create_local(x);
-  EXPECT_THROW(f.create_local(x), InternalError);
+  Frame f(2);
+  Cell* c = f.create_local(1);
+  EXPECT_THROW(f.create_local(1), InternalError);
+  EXPECT_THROW(f.bind(1, c), InternalError);
 }
 
 TEST(MemoryTest, CommonStoreSharedByBlockAndName) {
