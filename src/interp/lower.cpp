@@ -95,10 +95,28 @@ class Lowerer {
     return out_.exprs.back();
   }
 
+  LExprInfo& info() {
+    out_.infos.emplace_back();
+    return out_.infos.back();
+  }
+
+  /// The record shared by every Scalar and Element node of `sym`.
+  const LExprInfo* info_of(Symbol* sym) {
+    const LExprInfo*& memo = sym_info_[sym];
+    if (memo == nullptr) {
+      LExprInfo& i = info();
+      i.sym = sym;
+      memo = &i;
+    }
+    return memo;
+  }
+
   const LExpr* fail(const char* cond, std::string msg) {
+    LExprInfo& i = info();
+    i.fail_cond = cond;
+    i.fail_msg = std::move(msg);
     LExpr& n = node(LOp::Fail);
-    n.fail_cond = cond;
-    n.fail_msg = std::move(msg);
+    n.info = &i;
     return &n;
   }
 
@@ -249,7 +267,7 @@ class Lowerer {
 
   const LExpr* element(const ArrayRef& ref) {
     LExpr& n = node(LOp::Element);
-    n.sym = ref.symbol();
+    n.info = info_of(ref.symbol());
     n.slot = slot_of(ref.symbol());
     n.type = ref.symbol()->type();
     n.shadow = &unit_->shadows[n.slot];
@@ -263,10 +281,11 @@ class Lowerer {
       return element(static_cast<const ArrayRef&>(e));
     if (e.kind() != ExprKind::VarRef)
       return fail("false", "bad assignment target " + e.to_string());
+    Symbol* sym = static_cast<const VarRef&>(e).symbol();
     LExpr& n = node(LOp::Scalar);
-    n.sym = static_cast<const VarRef&>(e).symbol();
-    n.slot = slot_of(n.sym);
-    n.type = n.sym->type();
+    n.info = info_of(sym);
+    n.slot = slot_of(sym);
+    n.type = sym->type();
     return &n;
   }
 
@@ -290,8 +309,10 @@ class Lowerer {
       n.value = lowered->value.coerce_to(sym->type());
       out = &n;
     } else {
+      LExprInfo& i = info();
+      i.sym = sym;
       LExpr& n = node(LOp::Param);
-      n.sym = sym;
+      n.info = &i;
       n.type = sym->type();
       n.a = lowered;
       n.cacheable = reads_no_storage(*lowered);
@@ -324,7 +345,7 @@ class Lowerer {
         Symbol* sym = static_cast<const VarRef&>(e).symbol();
         if (sym->kind() == SymbolKind::Parameter) return param(sym);
         LExpr& n = node(LOp::Scalar);
-        n.sym = sym;
+        n.info = info_of(sym);
         n.slot = slot_of(sym);
         n.type = sym->type();
         return &n;
@@ -352,13 +373,13 @@ class Lowerer {
         std::vector<const LExpr*> args;
         for (const ExprPtr& arg : f.args()) args.push_back(value(*arg));
         const bool intrinsic = is_intrinsic_name(f.name());
+        LExprInfo& i = info();
+        i.call = &f;
+        if (!intrinsic) i.callee = callee(f.name(), UnitKind::Function);
         LExpr& n = node(intrinsic ? LOp::Intrinsic : LOp::Function);
-        n.call = &f;
+        n.info = &i;
         n.args = std::move(args);
-        if (intrinsic)
-          n.fn = intrinsic_of(f.name());
-        else
-          n.callee = callee(f.name(), UnitKind::Function);
+        if (intrinsic) n.fn = intrinsic_of(f.name());
         return &n;
       }
       case ExprKind::Wildcard:
@@ -370,6 +391,7 @@ class Lowerer {
   LoweredProgram& out_;
   Program* program_ = nullptr;
   std::unordered_map<const ProgramUnit*, LUnit*> unit_of_;
+  std::unordered_map<const Symbol*, const LExprInfo*> sym_info_;
   // State of the unit being lowered.
   LUnit* unit_ = nullptr;
   std::unordered_map<int, std::size_t> slot_of_id_;
@@ -378,9 +400,11 @@ class Lowerer {
 
 }  // namespace
 
-std::unique_ptr<LoweredProgram> lower_program(Program& program) {
+std::unique_ptr<LoweredProgram> lower_program(Program& program,
+                                              const CostModel& costs) {
   auto out = std::make_unique<LoweredProgram>();
   Lowerer(*out).lower(program);
+  compile_closures(*out, costs);
   return out;
 }
 

@@ -101,6 +101,7 @@ class Frame {
   void bind(std::size_t slot, Cell* cell);
 
   Cell* lookup(std::size_t slot) const { return cells_[slot]; }
+  Cell* const* cells() const { return cells_.data(); }
   bool bound(std::size_t slot) const { return cells_[slot] != nullptr; }
 
  private:

@@ -61,6 +61,11 @@ class Value {
     return b_;
   }
 
+  /// The payload of a value whose kind the caller has checked.
+  std::int64_t raw_int() const { return i_; }
+  double raw_real() const { return d_; }
+  bool raw_logical() const { return b_; }
+
   /// Coerces to the declared type of a storage location.
   Value coerce_to(Type t) const {
     if (t.is_integer()) return integer(as_int());
@@ -82,5 +87,12 @@ class Value {
     bool b_;
   };
 };
+
+/// Integer exponentiation by repeated multiplication; `exp` >= 0.
+inline std::int64_t int_power(std::int64_t base, std::int64_t exp) {
+  std::int64_t r = 1;
+  for (std::int64_t i = 0; i < exp; ++i) r *= base;
+  return r;
+}
 
 }  // namespace polaris

@@ -2,6 +2,17 @@
 
 #include <cmath>
 
+// The shadow arrays are marked and analyzed only while a program runs,
+// where no pass scope is active, so the fault-injection probe p_assert
+// pays on every check could never fire.  pd_check raises the same
+// InternalError (condition text, file, line, message) without it.
+#define pd_check_msg(cond, msg)                                             \
+  do {                                                                      \
+    if (!(cond)) [[unlikely]]                                               \
+      ::polaris::detail::assert_failed(#cond, __FILE__, __LINE__, (msg));   \
+  } while (0)
+#define pd_check(cond) pd_check_msg(cond, "")
+
 namespace polaris {
 
 ShadowArrays::ShadowArrays(std::size_t elements)
@@ -12,13 +23,13 @@ ShadowArrays::ShadowArrays(std::size_t elements)
       iter_state_(elements, IterState::None) {}
 
 void ShadowArrays::begin_iteration() {
-  p_assert_msg(!in_iteration_, "nested begin_iteration");
+  pd_check_msg(!in_iteration_, "nested begin_iteration");
   in_iteration_ = true;
 }
 
 void ShadowArrays::record_read(std::size_t index) {
-  p_assert(in_iteration_);
-  p_assert_msg(index < n_, "shadow index out of range");
+  pd_check(in_iteration_);
+  pd_check_msg(index < n_, "shadow index out of range");
   ++accesses_;
   if (iter_state_[index] == IterState::None) {
     iter_state_[index] = IterState::ReadFirst;
@@ -27,8 +38,8 @@ void ShadowArrays::record_read(std::size_t index) {
 }
 
 void ShadowArrays::record_write(std::size_t index) {
-  p_assert(in_iteration_);
-  p_assert_msg(index < n_, "shadow index out of range");
+  pd_check(in_iteration_);
+  pd_check_msg(index < n_, "shadow index out of range");
   ++accesses_;
   switch (iter_state_[index]) {
     case IterState::None:
@@ -55,7 +66,7 @@ void ShadowArrays::record_write(std::size_t index) {
 }
 
 void ShadowArrays::end_iteration() {
-  p_assert(in_iteration_);
+  pd_check(in_iteration_);
   for (std::size_t index : touched_) {
     switch (iter_state_[index]) {
       case IterState::ReadFirst:
@@ -76,7 +87,7 @@ void ShadowArrays::end_iteration() {
 }
 
 PdVerdict ShadowArrays::analyze() const {
-  p_assert_msg(!in_iteration_, "analyze during an open iteration");
+  pd_check_msg(!in_iteration_, "analyze during an open iteration");
   PdVerdict v;
   for (std::size_t i = 0; i < n_; ++i) {
     if (a_w_[i] && a_r_[i]) v.flow_anti = true;
@@ -87,7 +98,7 @@ PdVerdict ShadowArrays::analyze() const {
 }
 
 std::uint64_t ShadowArrays::cost(int processors) const {
-  p_assert(processors >= 1);
+  pd_check(processors >= 1);
   const std::uint64_t mark_cost = 2;   // per access marking
   const std::uint64_t merge_cost = 4;  // per element per merge stage
   std::uint64_t per_proc = accesses_ * mark_cost /

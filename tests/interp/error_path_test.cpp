@@ -90,6 +90,55 @@ TEST(InterpErrorPathTest, ModByZero) {
   expect_fires_only_when_run("mod by zero", "", "        i = mod(5, j)\n");
 }
 
+TEST(InterpErrorPathTest, NegativeIntegerExponent) {
+  expect_fires_only_when_run("negative integer exponent", "",
+                             "        k = j - 1\n"
+                             "        i = 2 ** k\n");
+}
+
+// The same checks inside compiled statements other than a store: a read
+// on the right-hand side, an IF condition, a DO limit.
+TEST(InterpErrorPathTest, SubscriptOutOfBoundsInRead) {
+  expect_fires_only_when_run("array subscript out of declared bounds",
+                             "      real a(3)\n", "        x = a(j + 4)\n");
+}
+
+TEST(InterpErrorPathTest, SubscriptOutOfBoundsInCondition) {
+  expect_fires_only_when_run("array subscript out of declared bounds",
+                             "      real a(3)\n",
+                             "        if (a(j + 4) .gt. 0.0) then\n"
+                             "          x = 1.0\n"
+                             "        end if\n");
+}
+
+TEST(InterpErrorPathTest, IntegerDivisionByZeroInCondition) {
+  expect_fires_only_when_run("integer division by zero", "",
+                             "        if (5 / j .gt. 0) then\n"
+                             "          x = 1.0\n"
+                             "        end if\n");
+}
+
+TEST(InterpErrorPathTest, ModByZeroInCondition) {
+  expect_fires_only_when_run("mod by zero", "",
+                             "        if (mod(5, j) .gt. 0) then\n"
+                             "          x = 1.0\n"
+                             "        end if\n");
+}
+
+TEST(InterpErrorPathTest, NegativeIntegerExponentInCondition) {
+  expect_fires_only_when_run("negative integer exponent", "",
+                             "        if (2 ** (j - 1) .gt. 0) then\n"
+                             "          x = 1.0\n"
+                             "        end if\n");
+}
+
+TEST(InterpErrorPathTest, IntegerDivisionByZeroInDoLimit) {
+  expect_fires_only_when_run("integer division by zero", "",
+                             "        do i = 1, 5 / j\n"
+                             "          x = 1.0\n"
+                             "        end do\n");
+}
+
 TEST(InterpErrorPathTest, IntrinsicArityMismatch) {
   expect_fires_only_when_run("bad arity for intrinsic sqrt", "",
                              "        x = sqrt(4.0, 2.0)\n");
