@@ -54,6 +54,62 @@ TEST(InterpTest, NegativeStepAndZeroTrip) {
   EXPECT_EQ(r.output[0], "5 0");
 }
 
+TEST(InterpTest, GotoOutOfDoEndsTheLoop) {
+  // The index keeps the value of the iteration that jumped.
+  auto r = run_src(
+      "      k = 0\n"
+      "      do i = 1, 3\n"
+      "        k = k + 1\n"
+      "        if (i .eq. 1) goto 10\n"
+      "      end do\n"
+      "      print *, 'after loop', k\n"
+      " 10   print *, 'at 10', i, k\n");
+  EXPECT_EQ(r.output, std::vector<std::string>{"at 10 1 1"});
+}
+
+TEST(InterpTest, GotoOutOfInnerDoContinuesInTheOuterBody) {
+  auto r = run_src(
+      "      n = 0\n"
+      "      m = 0\n"
+      "      do j = 1, 2\n"
+      "        do i = 1, 3\n"
+      "          if (i .eq. 2) goto 20\n"
+      "          n = n + 1\n"
+      "        end do\n"
+      " 20     m = m + 1\n"
+      "      end do\n"
+      "      print *, n, m, i, j\n");
+  EXPECT_EQ(r.output, std::vector<std::string>{"2 2 2 3"});
+}
+
+TEST(InterpTest, GotoToTheDoTerminatorContinuesTheLoop) {
+  auto r = run_src(
+      "      n = 0\n"
+      "      do 30 i = 1, 4\n"
+      "        if (mod(i, 2) .eq. 0) goto 30\n"
+      "        n = n + 1\n"
+      " 30   continue\n"
+      "      print *, n, i\n");
+  EXPECT_EQ(r.output, std::vector<std::string>{"2 5"});
+}
+
+TEST(InterpTest, GotoOutOfParallelDoEndsTheLoop) {
+  auto p = parse_program(
+      "      program t\n"
+      "      do i = 1, 8\n"
+      "        if (i .eq. 3) goto 40\n"
+      "      end do\n"
+      "      print *, 'after loop'\n"
+      " 40   print *, 'at 40', i\n"
+      "      end\n");
+  for (Statement* s = p->main()->stmts().first(); s; s = s->next())
+    if (s->kind() == StmtKind::Do)
+      static_cast<DoStmt*>(s)->par.is_parallel = true;
+  RunResult r = run_program(*p, MachineConfig{});
+  EXPECT_EQ(r.output, std::vector<std::string>{"at 40 3"});
+  EXPECT_EQ(r.parallel_instances, 1);
+}
+
 TEST(InterpTest, IfElseChain) {
   auto r = run_src(
       "      do i = 1, 4\n"
